@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -15,6 +16,38 @@ func BenchmarkProfileRun(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := ProfileRun(in.Name, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkProfileRunCold times the skeleton runs behind a cold hfastd
+// /v1/provision over the same key set the provision-cold ledger workload
+// uses: the sparse codes at P=256 and P=1024, the dense codes at P=128,
+// default steps and scale. It isolates the mpi runtime plus the IPM
+// collector, the two layers that dominate a cold provision.
+func BenchmarkProfileRunCold(b *testing.B) {
+	type key struct {
+		app   string
+		procs int
+	}
+	var keys []key
+	for _, p := range []int{256, 1024} {
+		for _, app := range []string{"cactus", "lbmhd", "gtc", "amr"} {
+			keys = append(keys, key{app, p})
+		}
+	}
+	for _, app := range []string{"superlu", "pmemd", "paratec"} {
+		keys = append(keys, key{app, 128})
+	}
+	for _, k := range keys {
+		b.Run(fmt.Sprintf("%s/P=%d", k.app, k.procs), func(b *testing.B) {
+			cfg := Config{Procs: k.procs, Seed: 1}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ProfileRun(k.app, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

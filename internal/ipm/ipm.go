@@ -17,13 +17,16 @@
 package ipm
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"github.com/hfast-sim/hfast/internal/mpi"
+	"github.com/hfast-sim/hfast/internal/par"
 )
 
 // DefaultHashCap is the default number of distinct signatures retained per
@@ -59,46 +62,15 @@ type Stat struct {
 
 // Collector gathers events for a single rank. It implements mpi.Tracer.
 type Collector struct {
-	rank    int
-	cap     int
-	entries map[Key]*Stat
-	spilled int64   // events that required catch-all folding
-	lastT   float64 // previous event's virtual clock, for time attribution
-
-	// lastKey/lastStat memoize the entry the previous event folded into
-	// (exact-signature hits only): a tight stencil loop re-hits the same
-	// (call, bytes, peer, region) signature, so repeats skip the map.
-	lastKey  Key
-	lastStat *Stat
-	regions  map[string]string // interned region names
+	rank  int
+	lastT float64 // previous event's virtual clock, for time attribution
+	hash  table
 }
 
 // NewCollector creates a collector for one rank with the given hash
 // capacity (DefaultHashCap if cap <= 0).
 func NewCollector(rank, capacity int) *Collector {
-	if capacity <= 0 {
-		capacity = DefaultHashCap
-	}
-	return &Collector{
-		rank:    rank,
-		cap:     capacity,
-		entries: make(map[Key]*Stat),
-		regions: make(map[string]string),
-	}
-}
-
-// intern maps a region name to one canonical string per collector, so
-// every Key holds the same string header and key comparisons hit the
-// pointer-equality fast path.
-func (c *Collector) intern(region string) string {
-	if region == "" {
-		return ""
-	}
-	if s, ok := c.regions[region]; ok {
-		return s
-	}
-	c.regions[region] = region
-	return region
+	return &Collector{rank: rank, hash: newTable(capacity)}
 }
 
 // Event records one communication event; it is called by the mpi runtime
@@ -113,57 +85,184 @@ func (c *Collector) Event(e mpi.Event) {
 		dt = e.T - c.lastT
 		c.lastT = e.T
 	}
-	key := Key{Call: e.Call, Bytes: e.Bytes, Peer: e.Peer, Region: e.Region}
-	if c.lastStat != nil && key == c.lastKey {
-		c.lastStat.Count++
-		c.lastStat.TotalBytes += int64(e.Bytes)
-		c.lastStat.Time += dt
+	c.hash.fold(&e, dt)
+}
+
+// slabKey is Key as the table stores it: 16 bytes with no pointer, so
+// neither the index map nor the slab is scanned by the garbage collector.
+// sig packs the call with the interned region id (region·NumCalls +
+// call); a peer is a world rank, which always fits in 32 bits.
+type slabKey struct {
+	bytes int
+	peer  int32
+	sig   int32
+}
+
+// slot is one hash entry in the table's slab.
+type slot struct {
+	key  slabKey
+	stat Stat
+}
+
+// table is the bounded hash both collectors fold into. Stats live in one
+// slab, indexed by a pointer-free key; the previous exact-signature hit
+// is memoized as a slab index, because a tight stencil loop re-hits the
+// same (call, bytes, peer, region) signature.
+type table struct {
+	cap     int
+	index   map[slabKey]int32
+	slots   []slot
+	spilled int64 // events that required catch-all folding
+	memoKey slabKey
+	memo    int32 // slot of memoKey, -1 when unset
+
+	regions    []string // region id -> name; id 0 is ""
+	regionIDs  map[string]int32
+	lastRegion string
+	lastID     int32
+}
+
+func newTable(capacity int) table {
+	if capacity <= 0 {
+		capacity = DefaultHashCap
+	}
+	return table{
+		cap:       capacity,
+		index:     make(map[slabKey]int32),
+		memo:      -1,
+		regions:   []string{""},
+		regionIDs: map[string]int32{"": 0},
+	}
+}
+
+// sig interns the event's region and packs it with the call.
+func (t *table) sig(e *mpi.Event) int32 {
+	if uint(e.Call) >= uint(mpi.NumCalls) {
+		panic(fmt.Sprintf("ipm: event with unknown call %d", int(e.Call)))
+	}
+	if e.Region != t.lastRegion {
+		t.intern(e.Region)
+	}
+	return t.lastID*int32(mpi.NumCalls) + int32(e.Call)
+}
+
+// intern makes region the table's current region, giving it an id on
+// first sight.
+func (t *table) intern(region string) {
+	id, ok := t.regionIDs[region]
+	if !ok {
+		id = int32(len(t.regions))
+		t.regions = append(t.regions, region)
+		t.regionIDs[region] = id
+	}
+	t.lastRegion, t.lastID = region, id
+}
+
+// fold records one event of modeled duration dt with IPM's overflow
+// rules: the exact signature first; at capacity, the signature with the
+// size rounded to its power-of-two bucket; as a last resort a per-call
+// catch-all with no peer, which adds at most one entry per (call,
+// region) pair.
+func (t *table) fold(e *mpi.Event, dt float64) {
+	key := slabKey{bytes: e.Bytes, peer: int32(e.Peer), sig: t.sig(e)}
+	if t.memo >= 0 && key == t.memoKey {
+		t.slots[t.memo].stat.add(e.Bytes, dt)
 		return
 	}
-	key.Region = c.intern(e.Region)
-	if st, ok := c.entries[key]; ok {
-		c.lastKey, c.lastStat = key, st
-		st.Count++
-		st.TotalBytes += int64(e.Bytes)
-		st.Time += dt
+	if i, ok := t.index[key]; ok {
+		t.memoKey, t.memo = key, i
+		t.slots[i].stat.add(e.Bytes, dt)
 		return
 	}
 	exact := true
-	if len(c.entries) >= c.cap {
-		// Coarsen: round the size to its power-of-two bucket. Folded
-		// entries never enter the memo — their stat updates differ
-		// (MaxBytes tracking) from the exact-signature fast path.
+	if len(t.slots) >= t.cap {
+		// Folded entries never enter the memo — their stat updates
+		// differ (MaxBytes tracking) from the exact-signature path.
 		exact = false
-		key.Bytes = pow2Bucket(e.Bytes)
-		if st, ok := c.entries[key]; ok {
-			st.Count++
-			st.TotalBytes += int64(e.Bytes)
-			st.Time += dt
-			if e.Bytes > st.MaxBytes {
-				st.MaxBytes = e.Bytes
-			}
+		key.bytes = pow2Bucket(e.Bytes)
+		if i, ok := t.index[key]; ok {
+			t.slots[i].stat.addFolded(e.Bytes, dt)
 			return
 		}
-		// Catch-all: per-call bucket with no peer.
-		key = Key{Call: e.Call, Bytes: -1, Peer: mpi.NoPeer, Region: key.Region}
-		c.spilled++
-		if st, ok := c.entries[key]; ok {
-			st.Count++
-			st.TotalBytes += int64(e.Bytes)
-			st.Time += dt
-			if e.Bytes > st.MaxBytes {
-				st.MaxBytes = e.Bytes
-			}
+		key = slabKey{bytes: -1, peer: mpi.NoPeer, sig: key.sig}
+		t.spilled++
+		if i, ok := t.index[key]; ok {
+			t.slots[i].stat.addFolded(e.Bytes, dt)
 			return
 		}
-		// The catch-all itself still fits: it adds at most one entry per
-		// (call, region) pair.
 	}
-	st := &Stat{Count: 1, TotalBytes: int64(e.Bytes), MaxBytes: e.Bytes, Time: dt}
-	c.entries[key] = st
+	i := int32(len(t.slots))
+	t.slots = append(t.slots, slot{key: key, stat: Stat{Count: 1, TotalBytes: int64(e.Bytes), MaxBytes: e.Bytes, Time: dt}})
+	t.index[key] = i
 	if exact {
-		c.lastKey, c.lastStat = key, st
+		t.memoKey, t.memo = key, i
 	}
+}
+
+// add counts one more call of an entry's exact signature.
+func (st *Stat) add(n int, dt float64) {
+	st.Count++
+	st.TotalBytes += int64(n)
+	st.Time += dt
+}
+
+// addFolded counts a call whose size was folded into a coarser entry.
+func (st *Stat) addFolded(n int, dt float64) {
+	st.add(n, dt)
+	if n > st.MaxBytes {
+		st.MaxBytes = n
+	}
+}
+
+// entries returns the table's contents as a key-sorted Entry slice of
+// exactly the table's size. It sorts slot indices on integer keys — the
+// region id replaced by the name's sorted position — rather than moving
+// Entries and comparing region strings.
+func (t *table) entries() []Entry {
+	names := make([]int32, len(t.regions))
+	for i := range names {
+		names[i] = int32(i)
+	}
+	slices.SortFunc(names, func(a, b int32) int { return strings.Compare(t.regions[a], t.regions[b]) })
+	pos := make([]int32, len(t.regions)) // region id -> sorted position
+	for p, id := range names {
+		pos[id] = int32(p)
+	}
+	const nc = int32(mpi.NumCalls)
+	order := make([]int32, len(t.slots))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		ka, kb := &t.slots[a].key, &t.slots[b].key
+		if c := cmp.Compare(ka.sig%nc, kb.sig%nc); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(pos[ka.sig/nc], pos[kb.sig/nc]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(ka.peer, kb.peer); c != 0 {
+			return c
+		}
+		return cmp.Compare(ka.bytes, kb.bytes)
+	})
+	es := make([]Entry, len(order))
+	for k, i := range order {
+		s := &t.slots[i]
+		es[k] = Entry{
+			Key:  Key{Call: mpi.Call(s.key.sig % nc), Bytes: s.key.bytes, Peer: int(s.key.peer), Region: t.regions[s.key.sig/nc]},
+			Stat: s.stat,
+		}
+	}
+	return es
+}
+
+// reset empties the table for reuse, keeping the interned region names.
+func (t *table) reset() {
+	clear(t.index)
+	t.slots = t.slots[:0]
+	t.spilled = 0
+	t.memo = -1
 }
 
 // pow2Bucket rounds n up to the nearest power of two (0 stays 0). Values
@@ -205,45 +304,53 @@ func (s *CollectorSet) Factory(rank int) mpi.Tracer {
 	return c
 }
 
-// Profile assembles the collected per-rank hashes. Call it only after
-// World.Run has returned.
+// Profile assembles the collected per-rank hashes, ranks in parallel.
+// Call it only after World.Run has returned.
 func (s *CollectorSet) Profile(app string, procs int, params map[string]int) *Profile {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := &Profile{
-		App:    app,
-		Procs:  procs,
-		Params: params,
-		Ranks:  make([]RankProfile, 0, len(s.collectors)),
-	}
 	ranks := make([]int, 0, len(s.collectors))
 	for r := range s.collectors {
 		ranks = append(ranks, r)
 	}
-	sort.Ints(ranks)
-	for _, r := range ranks {
-		c := s.collectors[r]
-		rp := RankProfile{Rank: r, Spilled: c.spilled}
-		for k, st := range c.entries {
-			rp.Entries = append(rp.Entries, Entry{Key: k, Stat: *st})
-		}
-		sort.Slice(rp.Entries, func(i, j int) bool { return rp.Entries[i].Key.less(rp.Entries[j].Key) })
-		p.Ranks = append(p.Ranks, rp)
+	slices.Sort(ranks)
+	p := &Profile{
+		App:    app,
+		Procs:  procs,
+		Params: params,
+		Ranks:  make([]RankProfile, len(ranks)),
 	}
+	par.Ranges(len(ranks), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			c := s.collectors[ranks[i]]
+			es := c.hash.entries()
+			if len(es) == 0 {
+				es = nil // an idle rank's Entries encode as null
+			}
+			p.Ranks[i] = RankProfile{Rank: ranks[i], Entries: es, Spilled: c.hash.spilled}
+		}
+	})
 	return p
 }
 
-func (k Key) less(o Key) bool {
-	if k.Call != o.Call {
-		return k.Call < o.Call
+// compareKeys orders keys by (call, region, peer, bytes), the order
+// RankProfile.Entries is kept in.
+func compareKeys(a, b Key) int {
+	if c := cmp.Compare(a.Call, b.Call); c != 0 {
+		return c
 	}
-	if k.Region != o.Region {
-		return k.Region < o.Region
+	if c := strings.Compare(a.Region, b.Region); c != 0 {
+		return c
 	}
-	if k.Peer != o.Peer {
-		return k.Peer < o.Peer
+	if c := cmp.Compare(a.Peer, b.Peer); c != 0 {
+		return c
 	}
-	return k.Bytes < o.Bytes
+	return cmp.Compare(a.Bytes, b.Bytes)
+}
+
+// sortEntries sorts entries by key.
+func sortEntries(es []Entry) {
+	slices.SortFunc(es, func(a, b Entry) int { return compareKeys(a.Key, b.Key) })
 }
 
 // String renders the key in an IPM-report style.

@@ -313,18 +313,18 @@ func TestHashPressureCoarsenMergesBuckets(t *testing.T) {
 	for _, b := range []int{100, 90, 65} { // all bucket to 128
 		c.Event(mpi.Event{Call: mpi.CallSend, Bytes: b, Peer: 1})
 	}
-	if c.spilled != 0 {
-		t.Errorf("coarsening alone spilled %d events", c.spilled)
+	if c.hash.spilled != 0 {
+		t.Errorf("coarsening alone spilled %d events", c.hash.spilled)
 	}
-	st, ok := c.entries[Key{Call: mpi.CallSend, Bytes: 128, Peer: 1}]
-	if !ok {
-		t.Fatalf("no coarsened 128-byte bucket: %v", c.entries)
+	es := c.hash.entries()
+	if len(es) != 1 {
+		t.Fatalf("table grew past capacity: %v", es)
 	}
-	if st.Count != 4 || st.TotalBytes != 128+100+90+65 || st.MaxBytes != 128 {
+	if want := (Key{Call: mpi.CallSend, Bytes: 128, Peer: 1}); es[0].Key != want {
+		t.Fatalf("no coarsened 128-byte bucket: %v", es)
+	}
+	if st := es[0].Stat; st.Count != 4 || st.TotalBytes != 128+100+90+65 || st.MaxBytes != 128 {
 		t.Errorf("bad coarsened stat %+v", st)
-	}
-	if len(c.entries) != 1 {
-		t.Errorf("table grew past capacity: %v", c.entries)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"github.com/hfast-sim/hfast/internal/mpi"
 )
@@ -78,5 +79,39 @@ func TestReadJSONRejectsNewerVersion(t *testing.T) {
 	in := []byte(`{"Version": 99, "App": "x", "Procs": 1}`)
 	if _, err := ReadJSON(bytes.NewReader(in)); err == nil {
 		t.Fatal("expected error for wire format v99")
+	}
+}
+
+// TestIdleRankWireForm pins how a rank without traffic encodes: a batch
+// profile writes its Entries as null, a streamed window as [].
+func TestIdleRankWireForm(t *testing.T) {
+	set := NewCollectorSet(0)
+	var deltas []*Delta
+	stream := NewStreamSet("idle", 2, nil, 0, func(d *Delta) { deltas = append(deltas, d) })
+	for _, f := range []mpi.TracerFactory{set.Factory, stream.Factory} {
+		w := mpi.NewWorld(2, mpi.WithTimeout(30*time.Second), mpi.WithTracerFactory(f))
+		if err := w.Run(func(c *mpi.Comm) {
+			c.RegionBegin("r")
+			c.RegionEnd()
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream.Finish()
+	var batch, window bytes.Buffer
+	if err := set.Profile("idle", 2, nil).WriteJSON(&batch); err != nil {
+		t.Fatal(err)
+	}
+	if len(deltas) != 1 {
+		t.Fatalf("%d deltas, want 1", len(deltas))
+	}
+	if err := deltas[0].WriteJSON(&window); err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(batch.Bytes(), []byte(`"Entries": null`)); n != 2 {
+		t.Errorf("batch profile has %d null Entries, want 2:\n%s", n, batch.Bytes())
+	}
+	if n := bytes.Count(window.Bytes(), []byte(`"Entries": []`)); n != 2 {
+		t.Errorf("streamed window has %d empty Entries, want 2:\n%s", n, window.Bytes())
 	}
 }

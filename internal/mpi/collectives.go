@@ -42,22 +42,6 @@ func decodeFloats(b []byte) []float64 {
 	return vals
 }
 
-func encodeInts(vals []int) []byte {
-	b := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
-	}
-	return b
-}
-
-func decodeInts(b []byte) []int {
-	vals := make([]int, len(b)/8)
-	for i := range vals {
-		vals[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
-	}
-	return vals
-}
-
 // Barrier blocks until every rank of the communicator has entered it,
 // using a dissemination exchange.
 func (c *Comm) Barrier() {
@@ -210,20 +194,6 @@ func (c *Comm) Allgather(b Buf) []Buf {
 	c.collAdvance(CallAllgather, b.N)
 	c.trace(CallAllgather, NoPeer, b.N)
 	return res
-}
-
-// allgatherInts exchanges a fixed-length int vector; used by Split.
-func (c *Comm) allgatherInts(ctx int64, vals []int) []int {
-	bufs := c.allgatherBufs(ctx, Data(encodeInts(vals)))
-	out := make([]int, 0, len(vals)*len(bufs))
-	for _, b := range bufs {
-		got := decodeInts(b.Data)
-		if len(got) != len(vals) {
-			panic(fmt.Sprintf("mpi: allgather length mismatch: %d != %d", len(got), len(vals)))
-		}
-		out = append(out, got...)
-	}
-	return out
 }
 
 // Scatter distributes bufs[r] from root to each rank r, returning the

@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Comm is one rank's handle on a communicator: an ordered group of world
 // ranks with a private matching context. The handle passed to World.Run is
@@ -23,7 +20,8 @@ type Comm struct {
 	splitSeq int // per-rank split sequence number
 	eventSeq int // per-rank event counter for tracing
 	region   string
-	clockp   *float64 // per-rank virtual clock, shared by all of the rank's comms
+	clockp   *float64      // per-rank virtual clock, shared by all of the rank's comms
+	wake     chan struct{} // per-rank wake tokens (capacity 1), shared like clockp
 }
 
 // Rank returns the caller's rank within the communicator.
@@ -283,7 +281,7 @@ func (c *Comm) Sendrecv(dst int, stag Tag, sb Buf, src int, rtag Tag) Status {
 // Wait blocks until req completes and returns its status (receive statuses
 // carry the source in comm rank space).
 func (c *Comm) Wait(req *Request) Status {
-	st := req.wait()
+	st := req.wait(c.wake)
 	if req.isRecv {
 		c.observeArrival(st.VTime)
 		st = c.statusToComm(st)
@@ -298,7 +296,7 @@ func (c *Comm) Wait(req *Request) Status {
 func (c *Comm) Waitall(reqs []*Request) []Status {
 	sts := make([]Status, len(reqs))
 	for i, r := range reqs {
-		st := r.wait()
+		st := r.wait(c.wake)
 		if r.isRecv {
 			c.observeArrival(st.VTime)
 			st = c.statusToComm(st)
@@ -311,48 +309,47 @@ func (c *Comm) Waitall(reqs []*Request) []Status {
 }
 
 // Waitany blocks until at least one request in reqs completes and returns
-// its index and status. Completed requests must be removed by the caller
-// before the next Waitany, as in MPI (this implementation has no
-// "inactive request" marker).
+// its index and status: the lowest index among the requests complete when
+// the rank looks. Completed requests must be removed by the caller before
+// the next Waitany, as in MPI (this implementation has no "inactive
+// request" marker). When one is already complete, Waitany allocates
+// nothing and subscribes to nothing.
 func (c *Comm) Waitany(reqs []*Request) (int, Status) {
 	c.trace(CallWaitany, NoPeer, 0)
 	if len(reqs) == 0 {
 		panic("mpi: Waitany on empty request list")
 	}
-	ch := make(chan *Request, len(reqs))
-	subscribed := make([]*Request, 0, len(reqs))
-	var ready *Request
-	for _, r := range reqs {
-		if r.subscribe(ch) {
-			ready = r
-			break
+	i := firstDone(reqs)
+	if i < 0 {
+		for _, r := range reqs {
+			r.subscribe(c.wake)
 		}
-		subscribed = append(subscribed, r)
-	}
-	if ready == nil {
-		select {
-		case ready = <-ch:
-		case <-c.world.abort:
-			panic(abortSignal{})
+		park(c.wake, c.world.abort, func() bool {
+			i = firstDone(reqs)
+			return i >= 0
+		})
+		for _, r := range reqs {
+			r.unsubscribe(c.wake)
 		}
 	}
-	for _, r := range subscribed {
-		if r != ready {
-			r.unsubscribe(ch)
-		}
+	r := reqs[i]
+	st := r.wait(c.wake)
+	if r.isRecv {
+		c.observeArrival(st.VTime)
+		st = c.statusToComm(st)
 	}
+	c.advance(0)
+	return i, st
+}
+
+// firstDone returns the index of the first completed request, or -1.
+func firstDone(reqs []*Request) int {
 	for i, r := range reqs {
-		if r == ready {
-			st := r.wait()
-			if r.isRecv {
-				c.observeArrival(st.VTime)
-				st = c.statusToComm(st)
-			}
-			c.advance(0)
-			return i, st
+		if r.Done() {
+			return i
 		}
 	}
-	panic("mpi: Waitany completion for unknown request")
+	return -1
 }
 
 // Test reports whether req has completed; if it has, the returned status is
@@ -364,7 +361,7 @@ func (c *Comm) Test(req *Request) (bool, Status) {
 	if !req.Done() {
 		return false, Status{}
 	}
-	st := req.wait()
+	st := req.wait(c.wake)
 	if req.isRecv {
 		c.observeArrival(st.VTime)
 		st = c.statusToComm(st)
@@ -393,58 +390,30 @@ func (c *Comm) peerWorldOrAnyOrNull(src int) int {
 
 // --- communicator management ---
 
-// splitMember is exchanged during Split.
-type splitMember struct {
-	color, key, rank int
-}
-
 // Split partitions the communicator: ranks supplying the same color form a
 // new communicator, ordered by (key, parent rank). Every rank of c must
 // call Split. A negative color returns nil for that rank (MPI_UNDEFINED).
+//
+// The (color, key) exchange is a rendezvous in world memory, like the
+// bookkeeping inside a real MPI_Comm_split: it sends no messages, emits
+// no trace events and leaves the virtual clock alone.
 func (c *Comm) Split(color, key int) *Comm {
 	seq := c.splitSeq
 	c.splitSeq++
-	// Allgather (color, key) across the parent communicator using the
-	// internal collective machinery; untraced, like the bookkeeping inside
-	// a real MPI_Comm_split.
-	ctx := c.collCtx()
-	all := c.allgatherInts(ctx, []int{color, key})
-	if color < 0 {
+	m := c.world.splitArrive(c, seq, color, key)
+	if m.group == nil {
 		return nil
 	}
-	members := make([]splitMember, 0, len(c.group))
-	for r := 0; r < len(c.group); r++ {
-		mc, mk := all[2*r], all[2*r+1]
-		if mc == color {
-			members = append(members, splitMember{color: mc, key: mk, rank: r})
-		}
-	}
-	sort.Slice(members, func(i, j int) bool {
-		if members[i].key != members[j].key {
-			return members[i].key < members[j].key
-		}
-		return members[i].rank < members[j].rank
-	})
-	group := make([]int, len(members))
-	w2c := make(map[int]int, len(members))
-	myRank := -1
-	for i, m := range members {
-		group[i] = c.group[m.rank]
-		w2c[group[i]] = i
-		if m.rank == c.rank {
-			myRank = i
-		}
-	}
-	id := c.world.commID(c.id, seq, color)
 	return &Comm{
 		world:  c.world,
-		id:     id,
-		group:  group,
-		w2c:    w2c,
-		rank:   myRank,
+		id:     m.group.id,
+		group:  m.group.ranks,
+		w2c:    m.group.w2c,
+		rank:   m.rank,
 		tracer: c.tracer,
 		region: c.region,
 		clockp: c.clockp,
+		wake:   c.wake,
 	}
 }
 

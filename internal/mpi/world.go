@@ -129,9 +129,9 @@ type World struct {
 	abort     chan struct{} // closed by Abort; unwinds every blocked rank
 	abortOnce sync.Once
 
-	commMu   sync.Mutex
-	commIDs  map[string]int
-	nextComm int
+	splitMu  sync.Mutex
+	splits   map[splitID]*splitRound // Split calls some member has yet to reach
+	nextComm int                     // next child communicator id
 }
 
 // Option configures a World.
@@ -157,7 +157,7 @@ func NewWorld(size int, opts ...Option) *World {
 		size:     size,
 		boxes:    make([]*mailbox, size),
 		abort:    make(chan struct{}),
-		commIDs:  make(map[string]int),
+		splits:   make(map[splitID]*splitRound),
 		nextComm: 1, // id 0 is the world communicator
 	}
 	for i := range w.boxes {
@@ -247,6 +247,7 @@ func (w *World) RunContext(ctx context.Context, fn func(*Comm)) error {
 				group:  group,
 				rank:   rank,
 				clockp: new(float64),
+				wake:   make(chan struct{}, 1),
 			}
 			if w.factory != nil {
 				c.tracer = w.factory(rank)
@@ -344,29 +345,12 @@ func (w *World) statusOf(env *envelope) Status {
 	return st
 }
 
-// commID returns a process-wide consistent id for a child communicator
-// derived from (parent id, per-rank split sequence, color). Every member
-// rank that performs the same split observes the same id.
-func (w *World) commID(parent, seq, color int) int {
-	key := fmt.Sprintf("%d/%d/%d", parent, seq, color)
-	w.commMu.Lock()
-	defer w.commMu.Unlock()
-	if id, ok := w.commIDs[key]; ok {
-		return id
-	}
-	id := w.nextComm
-	w.nextComm++
-	w.commIDs[key] = id
-	return id
-}
-
 // Request represents an outstanding nonblocking operation. Its zero value
 // is not useful; requests are created by Isend and Irecv.
 type Request struct {
 	mu     sync.Mutex
 	done   bool
-	doneCh chan struct{} // created lazily by the first waiter that blocks
-	notify []chan *Request
+	waiter chan struct{} // wake channel of the rank blocked on this request, nil if none
 	status Status
 	isRecv bool
 	comm   *Comm
@@ -392,8 +376,7 @@ var reqPool = sync.Pool{New: func() any { return new(Request) }}
 func getRequest(c *Comm, isRecv bool, peer, nbytes int) *Request {
 	r := reqPool.Get().(*Request)
 	r.done = false
-	r.doneCh = nil
-	r.notify = nil
+	r.waiter = nil
 	r.status = Status{}
 	r.isRecv = isRecv
 	r.comm = c
@@ -408,9 +391,11 @@ func putRequest(r *Request) {
 	reqPool.Put(r)
 }
 
-// complete marks the request finished and wakes every waiter. Requests
-// completed before anyone blocks never allocate a channel — the eager
-// fast path for Isend and already-arrived receives.
+// complete marks the request finished and, if a rank is blocked on it,
+// drops a token into that rank's wake channel. The send never blocks: a
+// full buffer already holds a token the waiter has yet to consume, and
+// consuming it makes the waiter re-check done, which is already true.
+// complete must not touch r after unlocking — the waiter may recycle it.
 func (r *Request) complete(st Status) {
 	r.mu.Lock()
 	if r.done {
@@ -419,39 +404,34 @@ func (r *Request) complete(st Status) {
 	}
 	r.done = true
 	r.status = st
-	if r.doneCh != nil {
-		close(r.doneCh)
-	}
-	ns := r.notify
-	r.notify = nil
+	wake := r.waiter
+	r.waiter = nil
 	r.mu.Unlock()
-	for _, ch := range ns {
-		ch <- r // channels are buffered by the registrar
-	}
-}
-
-// subscribe registers ch for completion notification, or reports true if
-// the request already completed.
-func (r *Request) subscribe(ch chan *Request) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.done {
-		return true
-	}
-	r.notify = append(r.notify, ch)
-	return false
-}
-
-// unsubscribe removes ch from the notification list.
-func (r *Request) unsubscribe(ch chan *Request) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, c := range r.notify {
-		if c == ch {
-			r.notify = append(r.notify[:i], r.notify[i+1:]...)
-			return
+	if wake != nil {
+		select {
+		case wake <- struct{}{}:
+		default:
 		}
 	}
+}
+
+// subscribe registers wake for completion notification unless the
+// request already completed.
+func (r *Request) subscribe(wake chan struct{}) {
+	r.mu.Lock()
+	if !r.done {
+		r.waiter = wake
+	}
+	r.mu.Unlock()
+}
+
+// unsubscribe withdraws a registration made by subscribe.
+func (r *Request) unsubscribe(wake chan struct{}) {
+	r.mu.Lock()
+	if r.waiter == wake {
+		r.waiter = nil
+	}
+	r.mu.Unlock()
 }
 
 // Done reports whether the request has completed without blocking.
@@ -461,41 +441,46 @@ func (r *Request) Done() bool {
 	return r.done
 }
 
-// wait blocks until completion and returns the status. If the world is
-// aborted while blocked, the calling rank unwinds via abortSignal.
-// Already-completed requests return without touching a channel.
-func (r *Request) wait() Status {
+// wait blocks the rank owning wake until the request completes and
+// returns its status. Already-completed requests return without touching
+// a channel. If the world aborts first, the rank unwinds via abortSignal.
+func (r *Request) wait(wake chan struct{}) Status {
 	r.mu.Lock()
-	if r.done {
-		st := r.status
+	if !r.done {
+		r.waiter = wake
 		r.mu.Unlock()
-		return st
+		park(wake, r.comm.world.abort, r.Done)
+		r.mu.Lock()
 	}
-	if r.doneCh == nil {
-		r.doneCh = make(chan struct{})
-	}
-	ch := r.doneCh
-	abort := r.comm.world.abort
-	r.mu.Unlock()
-	select {
-	case <-ch:
-	case <-abort:
-		// Prefer a completion that raced with the abort.
-		select {
-		case <-ch:
-		default:
-			panic(abortSignal{})
-		}
-	}
-	r.mu.Lock()
 	st := r.status
 	r.mu.Unlock()
 	return st
 }
 
+// park blocks on the rank's wake channel until ready reports true. Every
+// token is only a hint to re-check: a token can be stale (left by a
+// completion the rank had already observed), so a wake never decides
+// anything by itself. No wakeup is lost because a waiter subscribes
+// before it checks ready, and complete sets done before it looks for a
+// subscriber: either the check sees done, or the completion sees the
+// subscription and leaves a token. On abort, a completion that raced
+// with it still wins; otherwise the rank unwinds.
+func park(wake, abort chan struct{}, ready func() bool) {
+	for !ready() {
+		select {
+		case <-wake:
+		case <-abort:
+			if !ready() {
+				panic(abortSignal{})
+			}
+			return
+		}
+	}
+}
+
 // waitFree waits on a pooled internal request and recycles it.
 func waitFree(r *Request) Status {
-	st := r.wait()
+	st := r.wait(r.comm.wake)
 	putRequest(r)
 	return st
 }

@@ -505,6 +505,16 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("steps: %v", err), 0)
 		return
 	}
+	if req.Scale, err = intParam(q.Get("scale"), 0); err != nil {
+		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("scale: %v", err), 0)
+		return
+	}
+	if v := q.Get("seed"); v != "" {
+		if req.Seed, err = strconv.ParseInt(v, 10, 64); err != nil {
+			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("seed: %v", err), 0)
+			return
+		}
+	}
 	cutoff, err := intParam(q.Get("cutoff"), topology.DefaultCutoff)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("cutoff: %v", err), 0)

@@ -354,6 +354,55 @@ func TestCompareEndpoint(t *testing.T) {
 	}
 }
 
+// TestCompareSeedAndScale checks that /v1/compare takes the optional
+// seed and scale query parameters into the profile it runs: seed=5 and
+// scale=32 each profile a new key, while the defaults (and an explicit
+// seed=0) share the key a request without them uses.
+func TestCompareSeedAndScale(t *testing.T) {
+	var mu sync.Mutex
+	var runs []apps.Config
+	_, ts := testServer(t, Config{Workers: 1, Runner: func(ctx context.Context, app string, cfg apps.Config) (*ipm.Profile, error) {
+		mu.Lock()
+		runs = append(runs, cfg)
+		mu.Unlock()
+		return apps.ProfileRunContext(ctx, app, cfg)
+	}})
+	get := func(query string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/compare?app=cactus&procs=8&steps=1" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", query, resp.StatusCode, body)
+		}
+	}
+	get("")
+	get("&seed=0")
+	get("&seed=5")
+	get("&scale=32")
+	mu.Lock()
+	defer mu.Unlock()
+	if len(runs) != 3 {
+		t.Fatalf("%d profile runs, want 3 (default, seed=5, scale=32): %+v", len(runs), runs)
+	}
+	if runs[0].Seed != 0 || runs[0].Scale != 0 || runs[1].Seed != 5 || runs[2].Scale != 32 {
+		t.Fatalf("profile runs %+v, want seeds 0, 5, 0 and scales 0, 0, 32", runs)
+	}
+	for _, bad := range []string{"seed=x", "scale=1.5"} {
+		resp, err := http.Get(ts.URL + "/v1/compare?app=cactus&procs=8&" + bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", bad, resp.StatusCode)
+		}
+	}
+}
+
 // TestBadInput exercises the 400 paths.
 func TestBadInput(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1})

@@ -56,7 +56,9 @@
 # The suite covers the layers the profiling fast path touches:
 #   internal/mpi         message matching and request lifecycle
 #   internal/ipm         collector event ingestion
-#   internal/apps        end-to-end skeleton profiling (allocs/op headline)
+#   internal/apps        end-to-end skeleton profiling (allocs/op headline);
+#                        BenchmarkProfileRunCold covers the key set of a
+#                        cold hfastd /v1/provision (~3 s per iteration)
 #   internal/experiments warm-up fan-out (serial vs parallel)
 #   internal/topology    sparse vs dense graph build + cutoff sweep at
 #                        P=256 and P=1024 (b_per_op is the headline: the
