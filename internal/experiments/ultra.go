@@ -18,7 +18,7 @@ import (
 var UltraProcs = []int{1024}
 
 // UltraSizes is the grid Ultra actually renders: UltraProcs by default,
-// extended to P=4096 and P=16384 — the region-sharded netsim's target
+// extended to P=4096 and P=16384 — the incremental netsim's target
 // scale — when HFAST_TEST_ULTRA=1 opts into the long run.
 func UltraSizes() []int {
 	sizes := append([]int{}, UltraProcs...)

@@ -69,7 +69,7 @@ func TestUltraFabricRowsAtP1024(t *testing.T) {
 	}
 }
 
-// TestUltraFabricRowsAtP16384 drives the region-sharded netsim at the
+// TestUltraFabricRowsAtP16384 drives the incremental netsim at the
 // scale the PR titles: the halo skeleton's steady traffic at P=16384 on
 // all three contended fabric models. Long (tens of seconds), so it only
 // runs when HFAST_TEST_ULTRA=1 opts in.

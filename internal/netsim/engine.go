@@ -88,48 +88,12 @@ type compState struct {
 	chkEpoch int32
 
 	// Recompute scratch (solve-set links, affected flows, event seeds,
-	// moved links, the flat fill's compactable link list).
+	// moved links, the fill's compactable copy of queue).
 	queue     []int32
 	compFlows []int32
 	seeds     []int32
 	moved     []int32
 	fillLinks []int32
-
-	// Fixed-grid chunk buffers for the chunked refresh and the parallel
-	// witness scan: buffer ci holds chunk ci's output, concatenated in
-	// chunk order afterwards so the merged list is identical at any
-	// worker count. Component-owned (not engine-level) because
-	// concurrently advancing components chunk their own solve sets.
-	refBufs [][]int32
-	witBufs [][]int32
-
-	// Region-sharded solve scratch (shard.go). Per component so sharded
-	// water-fills can run from inside concurrently advancing components:
-	// the union-find over regions + boundary flows and the component
-	// buckets are rebuilt every sharded solve, so they carry no state
-	// between solves and only need to be private to the solving
-	// component.
-	ufParent     []int32   // union-find over regions + boundary flows
-	rootComp     []int32   // union-find root → dense component id
-	rootCompMark []int32   // root discovered this solve
-	compFlowsB   [][]int32 // per-component flow buckets
-	compLinksB   [][]int32 // per-component link buckets
-
-	// shardSkip/shardBackoff throttle the sharded solve when the traffic
-	// chains every region together: a solve whose partition collapses to
-	// one component paid the union-find and bucketing for nothing, so
-	// after a collapse the next shardSkip qualifying solves run flat,
-	// with the backoff doubling up to shardBackoffMax while collapses
-	// repeat. Counters advance only with this component's own solve
-	// sequence — a pure function of the problem, never of the worker
-	// count.
-	shardSkip    int
-	shardBackoff int
-
-	// stormAdmits counts batched-admission fast-path solves (one per
-	// same-timestamp arrival group landing on an idle component) for the
-	// white-box admission tests.
-	stormAdmits int
 
 	merged bool // absorbed into a merge; no longer runnable
 }
@@ -161,7 +125,6 @@ type engine struct {
 	weight    []int32   // coalesced input flows
 	seq       []int32   // generation of the flow's live heap entry
 	done      []bool
-	flowShard []int32 // region whose links cover the whole path, or -1
 
 	// Per-link state. Active flows live in refs[linkOff[l]:][:linkLen[l]],
 	// a CSR-style segment sized at build time to the link's static
@@ -195,19 +158,6 @@ type engine struct {
 	newRate   []float64
 	oldRate   []float64 // rate at the moment the flow joined A
 	chkMark   []int32   // flow witness-checked this pass
-
-	// Region sharding (shard.go). nShards > 1 turns on the sharded
-	// water-fill for large affected sets: the affected set is split into
-	// region-granular connected components that fill concurrently. Any
-	// component timeline may shard its solves — the union-find and
-	// bucket scratch live on the compState, and the per-link owner slabs
-	// below are safe to share because components touch disjoint links
-	// (each solve clears its own queue's owner marks during capacity
-	// prep, so the slabs carry no state between solves).
-	nShards       int
-	linkRegion    []int32 // region id per link, or -1 (hinter-owned)
-	linkOwner     []int32 // first boundary flow seen on a regionless link
-	linkOwnerMark []int32 // owner stamped during the current solve
 
 	// Component scheduling state (scheduler.go).
 	comps      []compState
@@ -278,9 +228,9 @@ func growU8(s []uint8, n int) []uint8 {
 // completion event, active flows get max-min fair shares of their path
 // bandwidth. The engine is incremental — see the package comment — and
 // its results match simulateReference's whole-network recomputation to
-// float-rounding noise. When the router implements RegionHinter and the
-// network is large enough, the heavy water-fills run region-sharded over
-// par workers; results are bit-identical at any GOMAXPROCS.
+// float-rounding noise. Link-disjoint components of the traffic advance
+// concurrently over par workers; results are bit-identical at any
+// GOMAXPROCS.
 func Simulate(net *Network, router Router, flows []Flow) (Result, error) {
 	var res Result
 	if err := SimulateInto(&res, net, router, flows); err != nil {
@@ -293,27 +243,15 @@ func Simulate(net *Network, router Router, flows []Flow) (Result, error) {
 // resliced in place when its capacity suffices, so replay loops (the
 // pipeline Netsim stage, benchmarks) can pool Result values and stop
 // paying one FlowResult slice per call. On error *res is untouched.
+//
+// The replay runs component-scheduled: build routes and coalesces,
+// partition splits the super-flows into link-disjoint connected
+// components (scheduler.go), and runScheduled advances the component
+// timelines — concurrently when there is more than one.
 func SimulateInto(res *Result, net *Network, router Router, flows []Flow) error {
-	var regions []int32
-	if rh, ok := router.(RegionHinter); ok {
-		if t := regionTarget(net.Links()); t > 1 {
-			regions = rh.LinkRegions(t)
-		}
-	}
-	return simulateRegions(res, net, router, flows, regions)
-}
-
-// simulateRegions is the full engine entry point: regions is the
-// per-link region id slice (nil for unsharded; see RegionHinter for the
-// contract). Tests drive it directly with explicit cuts. The replay runs
-// component-scheduled: build routes and coalesces, partition splits the
-// super-flows into link-disjoint connected components (scheduler.go),
-// and runScheduled advances the component timelines — concurrently when
-// there is more than one.
-func simulateRegions(res *Result, net *Network, router Router, flows []Flow, regions []int32) error {
 	e := enginePool.Get().(*engine)
 	defer e.release()
-	unroutable, maxLinkBytes, err := e.build(net, router, flows, regions)
+	unroutable, maxLinkBytes, err := e.build(net, router, flows)
 	if err != nil {
 		return err
 	}
@@ -353,7 +291,7 @@ const routeChunk = 4096
 // cross-flow dependency, so it fans out over par workers; validation,
 // byte accounting, and coalescing stay serial so error precedence and
 // float accumulation order never depend on the worker count.
-func (e *engine) build(net *Network, router Router, flows []Flow, regions []int32) (unroutable int, maxLinkBytes float64, err error) {
+func (e *engine) build(net *Network, router Router, flows []Flow) (unroutable int, maxLinkBytes float64, err error) {
 	nLinks := net.Links()
 	nf := len(flows)
 	e.paths = growPaths(e.paths, nf)
@@ -460,7 +398,6 @@ func (e *engine) build(net *Network, router Router, flows []Flow, regions []int3
 	e.done = growBool(e.done, ns)
 	e.newRate = growF64(e.newRate, ns)
 	e.oldRate = growF64(e.oldRate, ns)
-	e.flowShard = growI32(e.flowShard, ns)
 	for i := range e.sims {
 		e.remaining[i] = e.sims[i].bytes
 		e.rate[i], e.lastT[i] = 0, 0
@@ -497,8 +434,6 @@ func (e *engine) build(net *Network, router Router, flows []Flow, regions []int3
 	e.linkW = growI32(e.linkW, nLinks)
 	e.linkMark = growI32(e.linkMark, nLinks)
 	e.linkPull = growI32(e.linkPull, nLinks)
-	e.linkOwner = growI32(e.linkOwner, nLinks)
-	e.linkOwnerMark = growI32(e.linkOwnerMark, nLinks)
 	for l := 0; l < nLinks; l++ {
 		bw := net.links[l].Bandwidth
 		e.linkBW[l] = bw
@@ -541,7 +476,6 @@ func (e *engine) build(net *Network, router Router, flows []Flow, regions []int3
 		po += n
 	}
 
-	e.initShards(regions, nLinks)
 	e.partition()
 	return unroutable, maxLinkBytes, nil
 }
@@ -562,7 +496,6 @@ func (e *engine) release() {
 		e.sims[i].linkPos = nil
 	}
 	clear(e.paths)
-	e.linkRegion = nil
 	enginePool.Put(e)
 }
 
@@ -628,23 +561,8 @@ func (e *engine) run(c *compState, horizon float64) error {
 			c.heapPop()
 			e.retire(c, top.flow, true)
 		}
-		// Admit arrivals due now. A same-timestamp group landing on an
-		// idle component — no surviving flows, nothing retired at this
-		// instant — is an admission storm (t=0 of a synchronized replay
-		// being the giant case): the whole group seeds one batched solve
-		// with no frozen background, so the per-event witness machinery
-		// is skipped entirely (recomputeStorm). Any other event admits
-		// through the general seed-driven recompute.
-		if c.activeCount == 0 && len(c.seeds) == 0 &&
-			c.next < len(c.order) && e.sims[c.order[c.next]].start <= c.now+1e-15 {
-			lo := c.next
-			for c.next < len(c.order) && e.sims[c.order[c.next]].start <= c.now+1e-15 {
-				e.admitQuiet(c, c.order[c.next])
-				c.next++
-			}
-			e.recomputeStorm(c, c.order[lo:c.next])
-			continue
-		}
+		// Admit arrivals due now; the whole same-timestamp group seeds one
+		// recompute.
 		for c.next < len(c.order) && e.sims[c.order[c.next]].start <= c.now+1e-15 {
 			e.admit(c, c.order[c.next])
 			c.next++
@@ -707,25 +625,6 @@ func (e *engine) admit(c *compState, fi int32) {
 		e.linkLen[l]++
 		e.linkWeight[l] += w
 		c.seeds = append(c.seeds, int32(l))
-	}
-}
-
-// admitQuiet is admit without seeding: the batched-admission path
-// (recomputeStorm) derives its solve set from the whole batch at once,
-// so per-flow seed appends — one per path link, the t=0 storm's single
-// largest allocation churn — are skipped.
-func (e *engine) admitQuiet(c *compState, fi int32) {
-	sf := &e.sims[fi]
-	e.rate[fi] = 0
-	e.lastT[fi] = c.now
-	c.activeCount++
-	w := e.weight[fi]
-	for k, l := range sf.path {
-		p := e.linkLen[l]
-		sf.linkPos[k] = p
-		e.refs[e.linkOff[l]+p] = linkRef{flow: fi, slot: int32(k)}
-		e.linkLen[l]++
-		e.linkWeight[l] += w
 	}
 }
 
@@ -800,40 +699,18 @@ func (e *engine) settleNew(c *compState, settled int) int {
 	return settled
 }
 
-// solve water-fills the affected flows over the solve-set links. Small
-// affected sets — the steady state of the event loop — run the flat
-// serial fill; large ones (the t=0 admission storm, cascade avalanches)
-// run region-sharded over par workers when the fabric provided a
-// partition (shard.go). Any component may shard — its union-find and
-// bucket scratch are compState-owned — but a solve whose partition
-// keeps collapsing to one component (traffic chaining every region
-// together) backs off to the flat fill for shardSkip solves, since the
-// collapsed prep is pure overhead. The skip counter decrements once per
-// qualifying solve, a pure function of the component's own solve
-// sequence, so the flat/sharded choice never depends on worker count.
+// solveAffected water-fills the affected flows over the solve-set links:
+// every frozen flow is fixed background consumption, so a link's
+// capacity for the solve is its bandwidth minus the committed
+// consumption of flows outside A. The fix step is link-driven — every
+// affected flow crossing a within-epsilon bottleneck link is fixed at
+// the bottleneck share by walking those links' segments — so a solve
+// costs O(|A|·pathlen + |T|·rounds), independent of network size.
 //
-// solve returns the number of live (not-yet-done) flows in the affected
-// set: when it equals the component's active count, the solve had no
-// frozen background and its result is the component-global max-min —
-// recompute uses that to skip the witness machinery outright.
-func (e *engine) solve(c *compState) int {
-	if e.nShards > 1 && len(c.compFlows) >= shardedSolveMin {
-		if c.shardSkip > 0 {
-			c.shardSkip--
-		} else {
-			return e.solveSharded(c)
-		}
-	}
-	return e.solveAffected(c)
-}
-
-// solveAffected is the flat water-fill: every frozen flow is fixed
-// background consumption, so a link's capacity for the solve is its
-// bandwidth minus the committed consumption of flows outside A. The fix
-// step is link-driven — every affected flow crossing a within-epsilon
-// bottleneck link is fixed at the bottleneck share by walking those
-// links' segments — so a solve costs O(|A|·pathlen + |T|·rounds),
-// independent of network size. Returns the live affected-flow count.
+// solveAffected returns the number of live (not-yet-done) flows in the
+// affected set: when it equals the component's active count, the solve
+// had no frozen background and its result is the component-global
+// max-min — recompute uses that to skip the witness machinery outright.
 func (e *engine) solveAffected(c *compState) int {
 	for _, l := range c.queue {
 		e.linkCap[l] = e.linkBW[l] - e.linkS[l]
@@ -857,53 +734,30 @@ func (e *engine) solveAffected(c *compState) int {
 			e.linkCap[l] = 0
 		}
 	}
-	c.fillLinks = append(c.fillLinks[:0], c.queue...)
-	e.fill(c, c.fillLinks, c.compFlows, live)
+	e.fill(c, live)
 	return live
 }
 
-// fillParMin is the live link-list length above which fill's bottleneck
-// scan fans out over fixed par chunks (min is exact, so any chunking of
-// the reduction yields the identical bottleneck). A variable so tests
-// can force small fills through the parallel reduction.
-var fillParMin = 8192
-
-// fill runs bottleneck water-fill rounds over the given link list,
-// fixing every affected, unfixed flow it reaches. flows is the candidate
-// list the numerical-corner fallbacks iterate; live is the number of
-// fixable flows in it. fill owns links: links that lost their last
-// fixable flow are compacted out between rounds (order-preserving, so
-// fix order — and with it every float — matches the uncompacted scan),
-// which turns the admission-storm fill from O(|T|·rounds) into a scan
-// over a shrinking frontier.
-func (e *engine) fill(c *compState, links, flows []int32, live int) {
+// fill runs bottleneck water-fill rounds over the solve-set links,
+// fixing every affected, unfixed flow it reaches; live is the number of
+// fixable flows in the affected set, which the numerical-corner
+// fallbacks iterate. fill scans a copy of the solve set (refreshQueue
+// still needs the original order): links that lost their last fixable
+// flow are compacted out of it between rounds (order-preserving, so fix
+// order — and with it every float — matches the uncompacted scan), which
+// turns the admission-storm fill from O(|T|·rounds) into a scan over a
+// shrinking frontier.
+func (e *engine) fill(c *compState, live int) {
 	ep := c.epoch
+	c.fillLinks = append(c.fillLinks[:0], c.queue...)
+	links, flows := c.fillLinks, c.compFlows
 	nl := len(links)
 	for live > 0 {
 		bottle := math.Inf(1)
-		if nl >= fillParMin {
-			mins := par.MapChunks(nl, par.Chunk, func(lo, hi int) float64 {
-				m := math.Inf(1)
-				for _, l := range links[lo:hi] {
-					if e.linkW[l] > 0 {
-						if s := e.linkCap[l] / float64(e.linkW[l]); s < m {
-							m = s
-						}
-					}
-				}
-				return m
-			})
-			for _, m := range mins {
-				if m < bottle {
-					bottle = m
-				}
-			}
-		} else {
-			for _, l := range links[:nl] {
-				if e.linkW[l] > 0 {
-					if s := e.linkCap[l] / float64(e.linkW[l]); s < bottle {
-						bottle = s
-					}
+		for _, l := range links[:nl] {
+			if e.linkW[l] > 0 {
+				if s := e.linkCap[l] / float64(e.linkW[l]); s < bottle {
+					bottle = s
 				}
 			}
 		}
@@ -963,65 +817,16 @@ func (e *engine) fill(c *compState, links, flows []int32, live int) {
 	}
 }
 
-// refreshChunk is the solve-set size above which the per-link
-// slack/max-rate refresh fans out over fixed par chunks. Below it the
-// serial loop is cheaper than any coordination.
-const refreshChunk = 2048
-
 // refreshQueue recomputes consumed/slack/max-rate for every solve-set
 // link from its active segment and records the links that actually moved
-// (in queue order, so the witness scan is deterministic). Each link's
-// sum walks its own segment, so chunks write disjoint state and the
-// per-chunk moved lists concatenate in chunk order — bit-identical at
-// any worker count.
+// (in queue order, so the witness scan is deterministic).
 func (e *engine) refreshQueue(c *compState) {
 	c.moved = c.moved[:0]
-	n := len(c.queue)
-	if n <= refreshChunk {
-		for _, l := range c.queue {
-			if e.refreshLink(l) {
-				c.moved = append(c.moved, l)
-			}
+	for _, l := range c.queue {
+		if e.refreshLink(l) {
+			c.moved = append(c.moved, l)
 		}
-		return
 	}
-	// Per-chunk moved lists land in component-owned fixed-grid buffers
-	// (buffer ci ↔ chunk ci) and concatenate in chunk order: identical
-	// at any worker count, and — unlike a fresh slice per chunk — free
-	// of per-pass allocation once the buffers reach high water.
-	nc := par.NumChunks(n, refreshChunk)
-	if cap(c.refBufs) < nc {
-		bufs := make([][]int32, nc)
-		copy(bufs, c.refBufs)
-		c.refBufs = bufs
-	}
-	c.refBufs = c.refBufs[:nc]
-	queue := c.queue
-	par.ForChunks(n, refreshChunk, func(ci, lo, hi int) {
-		mv := c.refBufs[ci][:0]
-		for _, l := range queue[lo:hi] {
-			if e.refreshLink(l) {
-				mv = append(mv, l)
-			}
-		}
-		c.refBufs[ci] = mv
-	})
-	for _, mv := range c.refBufs {
-		c.moved = append(c.moved, mv...)
-	}
-}
-
-// refreshQuiet recommits consumed/slack/max-rate for every solve-set
-// link without tracking which ones moved — the batched-admission path
-// runs no witness scan, so the moved list would be dead weight. Links
-// write disjoint state, so the chunk fan-out needs no reduction at all.
-func (e *engine) refreshQuiet(c *compState) {
-	queue := c.queue
-	par.ForChunks(len(queue), refreshChunk, func(_, lo, hi int) {
-		for _, l := range queue[lo:hi] {
-			e.refreshLink(l)
-		}
-	})
 }
 
 // refreshLink recommits link l's consumed/slack/max-rate state and
@@ -1050,10 +855,7 @@ func (e *engine) refreshLink(l int32) bool {
 }
 
 // flowHasWitness reports whether flow fi holds a max-min bottleneck
-// certificate: a saturated path link on which its rate is maximal. The
-// check reads only committed link state (resid, max-rate) and flow
-// rates, none of which the witness-scan apply phase mutates — which is
-// what makes the scan safe to evaluate in parallel.
+// certificate: a saturated path link on which its rate is maximal.
 func (e *engine) flowHasWitness(fi int32) bool {
 	r := e.rate[fi] * (1 + rateBand)
 	for _, l2 := range e.sims[fi].path {
@@ -1064,94 +866,38 @@ func (e *engine) flowHasWitness(fi int32) bool {
 	return false
 }
 
-// witnessParMin is the moved-link count above which the bottleneck-
-// witness scan fans out over fixed par chunks. A variable so tests can
-// force small scans through the parallel path.
-var witnessParMin = 8192
-
 // witnessExpand runs the bottleneck-witness scan over the moved links:
 // every flow on a moved link (frozen flows included — their certificate
 // may have lived here) is checked for a witness, and a flow without one
 // pulls its saturated path links' flows into the affected set. Returns
 // whether the affected set grew.
-//
-// Large scans split the moved list over fixed par chunks. The evaluate
-// phase is pure — flowHasWitness reads only state that is frozen for
-// the duration of the scan — so each chunk collects its witness-failing
-// flows into a component-owned buffer (no dedup: duplicates across
-// chunks evaluate to the same verdict), and the apply phase then walks
-// the buffers serially in chunk order with the same chkMark dedup the
-// serial loop uses. First-occurrence order of failing flows matches the
-// serial scan exactly, so the pulls — and every float after them — are
-// bitwise identical at any worker count.
 func (e *engine) witnessExpand(c *compState) bool {
 	c.chkEpoch++
 	ep := c.epoch
 	expanded := false
-	apply := func(fi int32) {
-		// No bottleneck witness: the flow deserves more, and the
-		// higher-rate flows on its saturated links are what block it —
-		// pull those links' flows into A and re-solve.
-		for _, l2 := range e.sims[fi].path {
-			if e.saturated(int32(l2)) {
-				e.pullLink(c, int32(l2))
-			}
-		}
-		if e.flowMark[fi] != ep {
-			e.flowMark[fi] = ep
-			c.compFlows = append(c.compFlows, fi)
-		}
-		expanded = true
-	}
-	n := len(c.moved)
-	if n < witnessParMin {
-		for _, l := range c.moved {
-			for _, ref := range e.activeRefs(l) {
-				fi := ref.flow
-				if e.chkMark[fi] == c.chkEpoch {
-					continue
-				}
-				e.chkMark[fi] = c.chkEpoch
-				if e.done[fi] || e.rate[fi] <= 0 {
-					continue
-				}
-				if !e.flowHasWitness(fi) {
-					apply(fi)
-				}
-			}
-		}
-		return expanded
-	}
-	nc := par.NumChunks(n, par.Chunk)
-	if cap(c.witBufs) < nc {
-		bufs := make([][]int32, nc)
-		copy(bufs, c.witBufs)
-		c.witBufs = bufs
-	}
-	c.witBufs = c.witBufs[:nc]
-	moved := c.moved
-	par.ForChunks(n, par.Chunk, func(ci, lo, hi int) {
-		buf := c.witBufs[ci][:0]
-		for _, l := range moved[lo:hi] {
-			for _, ref := range e.activeRefs(l) {
-				fi := ref.flow
-				if e.done[fi] || e.rate[fi] <= 0 {
-					continue
-				}
-				if !e.flowHasWitness(fi) {
-					buf = append(buf, fi)
-				}
-			}
-		}
-		c.witBufs[ci] = buf
-	})
-	for _, buf := range c.witBufs {
-		for _, fi := range buf {
+	for _, l := range c.moved {
+		for _, ref := range e.activeRefs(l) {
+			fi := ref.flow
 			if e.chkMark[fi] == c.chkEpoch {
 				continue
 			}
 			e.chkMark[fi] = c.chkEpoch
-			apply(fi)
+			if e.done[fi] || e.rate[fi] <= 0 || e.flowHasWitness(fi) {
+				continue
+			}
+			// No bottleneck witness: the flow deserves more, and the
+			// higher-rate flows on its saturated links are what block it
+			// — pull those links' flows into A and re-solve.
+			for _, l2 := range e.sims[fi].path {
+				if e.saturated(int32(l2)) {
+					e.pullLink(c, int32(l2))
+				}
+			}
+			if e.flowMark[fi] != ep {
+				e.flowMark[fi] = ep
+				c.compFlows = append(c.compFlows, fi)
+			}
+			expanded = true
 		}
 	}
 	return expanded
@@ -1180,7 +926,7 @@ func (e *engine) recompute(c *compState) {
 	}
 
 	for pass := 0; ; pass++ {
-		live := e.solve(c)
+		live := e.solveAffected(c)
 
 		// Commit candidate rates, then refresh consumed/slack/max-rate
 		// on every solve-set link — witness checks must never read a
@@ -1191,18 +937,14 @@ func (e *engine) recompute(c *compState) {
 				e.rate[fi] = e.newRate[fi]
 			}
 		}
-		if live == c.activeCount {
-			// The affected set engulfed every active flow in the
-			// component: the solve ran with no frozen background, so it
-			// is the component-global max-min and the witness scan can
-			// prove nothing — any link it could pull is already in the
-			// solve set, any flow already in A. Same argument as the
-			// batched-admission path; recommit link state and stop.
-			e.refreshQuiet(c)
-			break
-		}
 		e.refreshQueue(c)
-		if !e.witnessExpand(c) {
+		// When the affected set engulfed every active flow in the
+		// component (the t=0 group of a synchronized replay being the
+		// giant case), the solve ran with no frozen background, so it is
+		// the component-global max-min and the witness scan can prove
+		// nothing: any link it could pull is already in the solve set,
+		// any flow already in A.
+		if live == c.activeCount || !e.witnessExpand(c) {
 			break
 		}
 		settled = e.settleNew(c, settled)
@@ -1247,62 +989,6 @@ func (e *engine) recompute(c *compState) {
 			c.heapPush(heapEntry{t: c.now + e.remaining[fi]/e.rate[fi], flow: fi, seq: e.seq[fi]})
 		}
 	}
-	e.maybeCompact(c)
-}
-
-// recomputeStorm is the batched-admission solve: the whole
-// same-timestamp arrival group just admitted onto an idle component via
-// admitQuiet. With no surviving flows, the affected set is exactly the
-// batch and the frozen background is empty, so one water-fill computes
-// the component-global max-min allocation outright — no per-flow seed
-// lists, no settle loop, and no bottleneck-witness passes (the witness
-// machinery exists to revalidate flows *outside* the affected set, and
-// here there are none). This is what turns the t=0 storm of a
-// synchronized replay from tens of per-admission cascades into a single
-// solve.
-func (e *engine) recomputeStorm(c *compState, batch []int32) {
-	c.epoch++
-	ep := c.epoch
-	c.queue = c.queue[:0]
-	c.compFlows = c.compFlows[:0]
-
-	for _, fi := range batch {
-		e.lastT[fi] = c.now
-		e.oldRate[fi] = 0
-		if e.remaining[fi] < completionEpsilon {
-			// Zero-byte flow: finishes the instant it starts, exactly as
-			// settleNew would retire it on the general path. No seeding —
-			// every link it touched is already in the solve set below.
-			e.retire(c, fi, false)
-		}
-		e.flowMark[fi] = ep
-		c.compFlows = append(c.compFlows, fi)
-		for _, l := range e.sims[fi].path {
-			if e.linkMark[l] != ep {
-				e.linkMark[l] = ep
-				c.queue = append(c.queue, int32(l))
-			}
-		}
-	}
-
-	e.solve(c)
-	for _, fi := range c.compFlows {
-		if !e.done[fi] {
-			e.rate[fi] = e.newRate[fi]
-		}
-	}
-	e.refreshQuiet(c)
-
-	for _, fi := range c.compFlows {
-		if e.done[fi] || e.rate[fi] == e.oldRate[fi] {
-			continue
-		}
-		e.seq[fi]++
-		if e.rate[fi] > 0 {
-			c.heapPush(heapEntry{t: c.now + e.remaining[fi]/e.rate[fi], flow: fi, seq: e.seq[fi]})
-		}
-	}
-	c.stormAdmits++
 	e.maybeCompact(c)
 }
 

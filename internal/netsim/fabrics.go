@@ -95,36 +95,6 @@ func (h *HFASTNet) RouteAppend(buf []int, src, dst int) ([]int, float64, bool) {
 	return buf, lat, true
 }
 
-// nodeRegion maps node i of p into one of target contiguous rank blocks.
-func nodeRegion(i, p, target int) int32 {
-	return int32(i * target / p)
-}
-
-// LinkRegions implements RegionHinter: HFAST regions are contiguous node
-// blocks (aligned with the clique/block structure the assignment
-// provisions). A node's up/down links take its block's region; a circuit
-// is interior when both endpoints share a block and a boundary link
-// otherwise.
-func (h *HFASTNet) LinkRegions(target int) []int32 {
-	regions := make([]int32, h.net.Links())
-	for i := range regions {
-		regions[i] = -1
-	}
-	p := h.assign.P
-	for i := 0; i < p; i++ {
-		r := nodeRegion(i, p, target)
-		regions[h.up[i]] = r
-		regions[h.down[i]] = r
-	}
-	for e, l := range h.edgeLink {
-		ri, rj := nodeRegion(e[0], p, target), nodeRegion(e[1], p, target)
-		if ri == rj {
-			regions[l] = ri
-		}
-	}
-	return regions
-}
-
 // FCNNet models a fully connected network (fat-tree with full bisection):
 // contention only at the endpoint up/down links, latency through the tree
 // layers.
@@ -162,24 +132,6 @@ func (f *FCNNet) RouteAppend(buf []int, src, dst int) ([]int, float64, bool) {
 	}
 	lat := float64(f.tree.MaxSwitchHops())*f.p.SwitchLatency + 2*f.p.WireLatency
 	return append(buf, f.up[src], f.down[dst]), lat, true
-}
-
-// LinkRegions implements RegionHinter: fat-tree regions are the
-// subtrees over contiguous rank blocks, so a node's up/down links take
-// its block's region. The FCN model has no shared internal links, which
-// makes every intra-block flow interior and leaves only cross-block
-// traffic for the boundary pass.
-func (f *FCNNet) LinkRegions(target int) []int32 {
-	regions := make([]int32, f.net.Links())
-	for i := range regions {
-		regions[i] = -1
-	}
-	for i := 0; i < f.procs; i++ {
-		r := nodeRegion(i, f.procs, target)
-		regions[f.up[i]] = r
-		regions[f.down[i]] = r
-	}
-	return regions
 }
 
 // MeshNet models a fixed mesh/torus with dimension-ordered routing;
@@ -293,66 +245,6 @@ func (m *MeshNet) RouteAppend(buf []int, src, dst int) ([]int, float64, bool) {
 	return buf, lat, true
 }
 
-// LinkRegions implements RegionHinter: mesh regions are torus blocks.
-// Each dimension is cut into segments until the block grid reaches the
-// target; a mesh link interior to one block takes its region, links
-// crossing a block face are boundary, and injection/ejection links
-// follow their node's block.
-func (m *MeshNet) LinkRegions(target int) []int32 {
-	dims := m.mesh.Dims
-	cuts := make([]int, len(dims))
-	for i := range cuts {
-		cuts[i] = 1
-	}
-	grid := 1
-	for grid < target {
-		// Cut the dimension with the longest remaining segment; stop
-		// when every segment is down to a couple of nodes.
-		best := -1
-		for i, d := range dims {
-			if d/cuts[i] < 2 {
-				continue
-			}
-			if best < 0 || d/cuts[i] > dims[best]/cuts[best] {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		cuts[best]++
-		grid = 1
-		for _, c := range cuts {
-			grid *= c
-		}
-	}
-	block := func(node int) int32 {
-		r, stride := 0, 1
-		for i, d := range dims {
-			ci := node % d
-			node /= d
-			r += ci * cuts[i] / d * stride
-			stride *= cuts[i]
-		}
-		return int32(r)
-	}
-	regions := make([]int32, m.net.Links())
-	for i := range regions {
-		regions[i] = -1
-	}
-	for e, l := range m.links {
-		if ba, bb := block(e[0]), block(e[1]); ba == bb {
-			regions[l] = ba
-		}
-	}
-	for i := range m.up {
-		b := block(i)
-		regions[m.up[i]] = b
-		regions[m.down[i]] = b
-	}
-	return regions
-}
-
 // TreeNet models the §2.4 dedicated collective/small-message tree as a
 // simulatable fabric: one shared low-bandwidth link per tree edge, routes
 // through the lowest common ancestor.
@@ -379,43 +271,6 @@ func NewTreeNet(p int, params treenet.Params) (*TreeNet, error) {
 
 // Network returns the underlying link set.
 func (t *TreeNet) Network() *Network { return t.net }
-
-// LinkRegions implements RegionHinter: tree regions are the subtrees
-// rooted at the shallowest depth with at least target nodes. Links
-// strictly below a depth-d root take that subtree's region; links at or
-// above the cut are boundary, so traffic climbing through the upper
-// tree reconciles serially while subtree-local traffic shards.
-func (t *TreeNet) LinkRegions(target int) []int32 {
-	fanout := t.tree.Params.Fanout
-	// lo is the first node id at the cut depth; the heap layout keeps
-	// each depth contiguous, so depth-d roots are [lo, lo+width).
-	lo, width := 0, 1
-	for width < target && lo+width < t.tree.P {
-		lo = lo*fanout + 1
-		width *= fanout
-	}
-	root := func(n int) int {
-		for n >= lo+width {
-			n = (n - 1) / fanout
-		}
-		if n < lo {
-			return -1
-		}
-		return n - lo
-	}
-	regions := make([]int32, t.net.Links())
-	for i := range regions {
-		regions[i] = -1
-	}
-	for e, l := range t.links {
-		// e is (child, parent): interior iff the child sits strictly
-		// below a cut root, i.e. both endpoints resolve to the same one.
-		if rc, rp := root(e[0]), root(e[1]); rc >= 0 && rc == rp {
-			regions[l] = int32(rc)
-		}
-	}
-	return regions
-}
 
 // Route implements Router: climb from both endpoints to their lowest
 // common ancestor in the implicit heap layout.

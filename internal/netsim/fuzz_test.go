@@ -103,37 +103,5 @@ func FuzzSimulate(f *testing.F) {
 				t.Errorf("flow %d finish %.12g vs %.12g (Δ %.3g)", i, g.Finish, w.Finish, d)
 			}
 		}
-
-		// The region-sharded solve under a random cut — most flows crossing
-		// a boundary — must agree with the reference too. Thresholds drop
-		// so these tiny solves actually take the sharded path.
-		prevMin, prevPar, prevWit := shardedSolveMin, fillParMin, witnessParMin
-		shardedSolveMin, fillParMin, witnessParMin = 2, 4, 2
-		defer func() { shardedSolveMin, fillParMin, witnessParMin = prevMin, prevPar, prevWit }()
-		regions := make([]int32, net.Links())
-		nr := 2 + rng.Intn(5)
-		for i := range regions {
-			if rng.Intn(8) == 0 {
-				regions[i] = -1
-			} else {
-				regions[i] = int32(rng.Intn(nr))
-			}
-		}
-		var sharded Result
-		if err := simulateRegions(&sharded, net, router, flows, regions); err != nil {
-			t.Fatalf("sharded engine: %v", err)
-		}
-		if sharded.Unroutable != want.Unroutable || sharded.MaxLinkBytes != want.MaxLinkBytes {
-			t.Fatalf("sharded accounting: %+v vs reference %+v", sharded, want)
-		}
-		for i := range sharded.Flows {
-			g, w := sharded.Flows[i], want.Flows[i]
-			if g.Routed != w.Routed {
-				t.Fatalf("sharded flow %d routed %v vs %v", i, g.Routed, w.Routed)
-			}
-			if d := math.Abs(g.Finish - w.Finish); d > tol(w.Finish) {
-				t.Errorf("sharded flow %d finish %.12g vs %.12g (Δ %.3g)", i, g.Finish, w.Finish, d)
-			}
-		}
 	})
 }

@@ -13,15 +13,13 @@
 // only over the connected component of links and flows it touched. All
 // engine state is arena-style (structure-of-arrays flow state, one CSR
 // slab of per-link active sets, a pooled engine recycled across calls —
-// SimulateInto additionally reuses the caller's Result), and large
-// solves run region-sharded: fabrics hint a per-link partition
-// (RegionHinter, shard.go), the affected set splits into region-granular
-// connected components, and the independent component fills run over par
-// workers. Every partition is a pure function of the problem, so results
-// are identical at any GOMAXPROCS. The original whole-network solver is
-// retained as simulateReference (reference.go) and pins the engine's
-// output in parity and fuzz tests, including under randomized region
-// cuts.
+// SimulateInto additionally reuses the caller's Result). The flows are
+// partitioned into link-disjoint connected components whose timelines
+// advance concurrently over par workers (scheduler.go); the partition is
+// a pure function of the problem, so results are identical at any
+// GOMAXPROCS. The original whole-network solver is retained as the test
+// oracle simulateReference (reference_test.go) and pins the engine's
+// output in parity and fuzz tests.
 package netsim
 
 import (

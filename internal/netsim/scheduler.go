@@ -9,10 +9,9 @@ import (
 
 // Component-parallel event scheduling.
 //
-// The region-sharded water-fill (shard.go) parallelizes *within* one
-// solve; everything else — heap pops, cascades, witness passes — was one
-// serial timeline, the Amdahl wall of large replays. The scheduler
-// removes it by partitioning the super-flows at build time into
+// A replay's event loop — heap pops, cascades, witness passes — is
+// serial within one timeline. The scheduler parallelizes across
+// timelines by partitioning the super-flows at build time into
 // link-disjoint connected components and giving each its own timeline
 // (compState): components never share a link, so their event streams are
 // causally independent and can be advanced concurrently with bitwise the
@@ -107,7 +106,6 @@ func (e *engine) newComp() *compState {
 	c.epoch, c.chkEpoch = e.epochHW, e.epochHW
 	c.queue, c.compFlows = c.queue[:0], c.compFlows[:0]
 	c.seeds, c.moved, c.fillLinks = c.seeds[:0], c.moved[:0], c.fillLinks[:0]
-	c.shardSkip, c.shardBackoff, c.stormAdmits = 0, 0, 0
 	c.merged = false
 	return c
 }
@@ -304,9 +302,6 @@ func (e *engine) partition() {
 		c.maxEvents = maxEventCap(c.nFlows)
 		nd.comp = c.id
 	}
-	// Every component may region-shard its own solves: the sharding
-	// scratch is compState-owned (shard.go), so no gate on the component
-	// count is needed here.
 }
 
 func appendUniqueI32(s []int32, v int32) []int32 {

@@ -101,12 +101,61 @@ type StreamState struct {
 	// Last describes the most recent fold.
 	Last FoldEvent
 
-	// detector state (all copied on fold; graphs cloned on write).
+	phase    phaseDetector // stepped shared: a fold never mutates s's phases
+	lastStep string
+}
+
+// phaseDetector is the online phase automaton Fold and DetectPhases both
+// step, one window at a time. The open phase starts at curStart and
+// carries the union traffic curGraph; armed is the hysteresis latch.
+type phaseDetector struct {
 	closed   []Phase
 	curStart int
 	curGraph *topology.Graph
 	armed    bool
-	lastStep string
+}
+
+// step feeds window k's graph g to the detector and reports whether it
+// opened a phase (the first window always does) and its distance to the
+// open phase (0 for the first window). A boundary fires when the distance
+// exceeds det.Enter while armed and the open phase spans at least
+// det.MinWindows windows, which disarms the detector; it re-arms once the
+// distance falls below det.Exit. When shared is set, step writes nothing
+// reachable from an earlier copy of d: closed grows into a fresh array
+// and the open phase's graph is cloned before it grows, which is what
+// keeps every StreamState snapshot immutable.
+func (d *phaseDetector) step(k int, g *topology.Graph, cutoff int, det DetectorConfig, shared bool) (boundary bool, dist float64) {
+	if d.curGraph == nil {
+		d.curStart, d.curGraph, d.armed = k, cloneGraph(g), true
+		return true, 0
+	}
+	dist = phaseDistance(d.curGraph, g, cutoff)
+	if d.armed && dist > det.Enter && k-d.curStart >= det.MinWindows {
+		nc := len(d.closed)
+		d.closed = append(d.closed[:nc:nc], Phase{Start: d.curStart, End: k, Graph: d.curGraph})
+		d.curStart, d.curGraph, d.armed = k, cloneGraph(g), false
+		return true, dist
+	}
+	if !d.armed && dist < det.Exit {
+		d.armed = true
+	}
+	cur := d.curGraph
+	if shared {
+		cur = cloneGraph(cur)
+	}
+	d.curGraph = addGraph(cur, g)
+	return false, dist
+}
+
+// phases lists the closed phases plus the open one, which ends at the
+// window count n. Empty before the first window.
+func (d *phaseDetector) phases(n int) []Phase {
+	if d.curGraph == nil {
+		return nil
+	}
+	out := make([]Phase, 0, len(d.closed)+1)
+	out = append(out, d.closed...)
+	return append(out, Phase{Start: d.curStart, End: n, Graph: d.curGraph})
 }
 
 // NewStreamState opens a stream for a run over procs ranks. Step windows
@@ -186,43 +235,18 @@ func (s *StreamState) Fold(d *ipm.Delta) (*StreamState, error) {
 	k := len(s.Windows)
 	ns.Windows = append(s.Windows[:k:k], w)
 	ns.Last.Window = &ns.Windows[k]
-
-	if s.curGraph == nil {
-		// First step window opens phase 0.
-		ns.curStart, ns.curGraph, ns.armed = k, cloneGraph(g), true
-		ns.Last.Boundary, ns.Last.Phase = true, 0
-		return &ns, nil
-	}
-	dist := phaseDistance(s.curGraph, g, s.Cutoff)
-	ns.Last.Distance = dist
-	if s.armed && dist > s.Det.Enter && k-s.curStart >= s.Det.MinWindows {
-		nc := len(s.closed)
-		ns.closed = append(s.closed[:nc:nc], Phase{Start: s.curStart, End: k, Graph: s.curGraph})
-		ns.curStart, ns.curGraph, ns.armed = k, cloneGraph(g), false
-		ns.Last.Boundary, ns.Last.Phase = true, nc+1
-		return &ns, nil
-	}
-	if !s.armed && dist < s.Det.Exit {
-		ns.armed = true
-	}
-	ns.curGraph = addGraph(cloneGraph(s.curGraph), g)
+	ns.Last.Boundary, ns.Last.Distance = ns.phase.step(k, g, s.Cutoff, s.Det, true)
+	ns.Last.Phase = len(ns.phase.closed)
 	return &ns, nil
 }
 
 // Phases returns the detected phases, the open one last (its End is the
 // current window count). Empty before the first step window.
-func (s *StreamState) Phases() []Phase {
-	if s.curGraph == nil {
-		return nil
-	}
-	out := make([]Phase, 0, len(s.closed)+1)
-	out = append(out, s.closed...)
-	return append(out, Phase{Start: s.curStart, End: len(s.Windows), Graph: s.curGraph})
-}
+func (s *StreamState) Phases() []Phase { return s.phase.phases(len(s.Windows)) }
 
 // CurrentPhaseGraph returns the open phase's union traffic (nil before
 // the first step window). The graph is shared: callers must not mutate.
-func (s *StreamState) CurrentPhaseGraph() *topology.Graph { return s.curGraph }
+func (s *StreamState) CurrentPhaseGraph() *topology.Graph { return s.phase.curGraph }
 
 // Opportunity runs the batch reconfiguration analysis over the folded
 // windows.
@@ -231,8 +255,10 @@ func (s *StreamState) Opportunity() (Opportunity, error) {
 }
 
 // DetectPhases runs the online detector over an already-extracted window
-// slice — the batch entry point the experiments use, guaranteed to match
-// what a streamed fold of the same windows produces.
+// slice — the batch entry point the experiments use. It steps the same
+// automaton as Fold, so it matches what a streamed fold of the same
+// windows produces; only the open phase's graph grows in place, since no
+// snapshot shares it.
 func DetectPhases(procs int, ws []Window, cutoff int, det DetectorConfig) ([]Phase, error) {
 	if cutoff == 0 {
 		cutoff = topology.DefaultCutoff
@@ -241,36 +267,15 @@ func DetectPhases(procs int, ws []Window, cutoff int, det DetectorConfig) ([]Pha
 	if err != nil {
 		return nil, err
 	}
-	var (
-		closed   []Phase
-		curStart int
-		curGraph *topology.Graph
-		armed    bool
-	)
+	var d phaseDetector
 	for k := range ws {
 		w := &ws[k]
 		if w.Graph == nil || w.Graph.P != procs {
 			return nil, fmt.Errorf("trace: window %q does not span %d procs", w.Region, procs)
 		}
-		if curGraph == nil {
-			curStart, curGraph, armed = k, cloneGraph(w.Graph), true
-			continue
-		}
-		dist := phaseDistance(curGraph, w.Graph, cutoff)
-		if armed && dist > det.Enter && k-curStart >= det.MinWindows {
-			closed = append(closed, Phase{Start: curStart, End: k, Graph: curGraph})
-			curStart, curGraph, armed = k, cloneGraph(w.Graph), false
-			continue
-		}
-		if !armed && dist < det.Exit {
-			armed = true
-		}
-		curGraph = addGraph(curGraph, w.Graph)
+		d.step(k, w.Graph, cutoff, det, false)
 	}
-	if curGraph == nil {
-		return nil, nil
-	}
-	return append(closed, Phase{Start: curStart, End: len(ws), Graph: curGraph}), nil
+	return d.phases(len(ws)), nil
 }
 
 // phaseDistance is the Jaccard distance between two graphs' thresholded
